@@ -10,12 +10,15 @@ pass-manager protocol (shared :class:`~repro.core.primitives.BarrierNamer`,
 
 Mode pipelines (see :data:`repro.core.pipeline.MODE_PIPELINES`)::
 
-    baseline  pdom-sync,strip-directives,mem-effects[,allocate,verify]
+    baseline  pdom-sync,strip-directives[,allocate,verify]
     sr        collect-predictions,pdom-sync,sr-insert,deconflict,
-              strip-directives,mem-effects[,allocate,verify]
+              strip-directives[,allocate,verify]
     auto      autodetect,collect-predictions,pdom-sync,sr-insert,
-              deconflict,strip-directives,mem-effects[,allocate,verify]
-    none      strip-directives,mem-effects[,allocate,verify]
+              deconflict,strip-directives[,allocate,verify]
+    none      strip-directives[,allocate,verify]
+
+Read-only passes that only fill the report (``mem-effects``, ``lint``)
+are in no mode pipeline; name them in an explicit pipeline to run them.
 """
 
 from __future__ import annotations
@@ -406,8 +409,13 @@ class MemEffectsPass(Pass):
     or ``atom_add``s, with ``"unknown"`` as the explicit top for computed
     addresses. Cached as the ``"memeffects"`` analysis; the summaries land
     on ``report.memory_effects`` (and a region-count line in
-    ``report.pass_stats``) for the warp batcher's documentation trail —
-    the batcher itself re-resolves against concrete launch arguments."""
+    ``report.pass_stats``).
+
+    Nothing in the compiler or simulator reads these summaries — the warp
+    batcher, speculative rounds and grid sharding classify each launch
+    against its concrete arguments — so no mode pipeline runs this pass.
+    Append it to an explicit pipeline (``pipeline=``, ``REPRO_PIPELINE``,
+    ``--pipeline``, ``repro.tools.opt``) to get the summaries."""
 
     name = "mem-effects"
     description = "summarize per-kernel GlobalMemory reads/writes/atomics"

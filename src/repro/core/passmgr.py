@@ -526,6 +526,11 @@ class PassManager:
         The context's span recorder gets one span per pass (named after
         the pass), and the analysis manager is invalidated after each
         pass according to its ``preserves()`` declaration.
+
+        A span's IR stats before the pass are the previous span's stats
+        after it: between two passes only read-only hooks touch the
+        module. An ``after_pass`` callback may mutate it, so the stats are
+        recounted after one runs.
         """
         ctx = ctx or PassContext()
         if ctx.spans is None:
@@ -534,10 +539,12 @@ class PassManager:
             ctx.analyses = AnalysisManager(module, spans=ctx.spans)
         import repro.core.passes  # noqa: F401  (registers the standard suite)
 
+        stats = None
         for spec in self.specs:
             pass_obj = PASS_REGISTRY.create(spec.name, spec.options_dict())
-            with ctx.spans.span(spec.name, module):
+            with ctx.spans.span(spec.name, module, before=stats) as record:
                 pass_obj.run(module, ctx)
+            stats = record.after
             ctx.analyses.invalidate(pass_obj.preserves())
             if self.verify_each:
                 try:
@@ -553,6 +560,7 @@ class PassManager:
                 print(format_module(module), file=stream)
             if self.after_pass is not None:
                 self.after_pass(spec, pass_obj, module)
+                stats = None
             if self.stop_after is not None and spec.name == self.stop_after:
                 break
         return module

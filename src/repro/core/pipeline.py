@@ -45,14 +45,13 @@ MODES = ("baseline", "sr", "auto", "none")
 #: The registered pipeline description for each compile mode (before the
 #: optional ``optimize`` prefix and ``allocate``/``verify`` suffix).
 MODE_PIPELINES = {
-    "baseline": ("pdom-sync", "strip-directives", "mem-effects"),
+    "baseline": ("pdom-sync", "strip-directives"),
     "sr": (
         "collect-predictions",
         "pdom-sync",
         "sr-insert",
         "deconflict",
         "strip-directives",
-        "mem-effects",
     ),
     "auto": (
         "autodetect",
@@ -61,9 +60,8 @@ MODE_PIPELINES = {
         "sr-insert",
         "deconflict",
         "strip-directives",
-        "mem-effects",
     ),
-    "none": ("strip-directives", "mem-effects"),
+    "none": ("strip-directives",),
 }
 
 

@@ -15,11 +15,12 @@ scans especially) pays pool spin-up and per-process cache warming once
 instead of per sweep. The pool is keyed by the worker count and a
 fingerprint of every knob that shapes worker behaviour — the ``REPRO_*``
 environment and the in-process engine toggles (fastpath, segments, warp
-batching, compile cache) — and is transparently torn down and reforked
-when any of them changes, since forked workers snapshot that state at
-creation. :func:`shutdown_pool` retires it explicitly (also registered
-``atexit``), and a worker exception terminates the pool before
-propagating so no half-poisoned workers outlive the error.
+batching, compile cache, SoA, JIT, speculative rounds) — and is
+transparently torn down and reforked when any of them changes, since
+forked workers snapshot that state at creation. :func:`shutdown_pool`
+retires it explicitly (also registered ``atexit``), and a worker
+exception terminates the pool before propagating so no half-poisoned
+workers outlive the error.
 
 Tasks are ``(fn, args, kwargs)`` triples with ``fn`` a module-level
 function (workers import it by reference under the fork start method, and
@@ -100,6 +101,7 @@ def _knob_fingerprint():
         if key.startswith("REPRO_")
     ))
     from repro.core.program_cache import CACHE_ENABLED
+    from repro.simt import jit, spec
     from repro.simt.batch import WARP_BATCH_ENABLED
     from repro.simt.fastpath import FASTPATH_ENABLED
     from repro.simt.segments import SEGMENTS_ENABLED
@@ -110,6 +112,10 @@ def _knob_fingerprint():
         SEGMENTS_ENABLED,
         WARP_BATCH_ENABLED,
         CACHE_ENABLED,
+        jit.knob_fingerprint(),    # the SoA knobs
+        jit.JIT_ENABLED,
+        jit.JIT_THRESHOLD,
+        spec.SPEC_ENABLED,
     )
 
 

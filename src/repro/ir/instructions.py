@@ -110,6 +110,11 @@ class Opcode(enum.Enum):
     NOP = "nop"
     DELAY = "delay"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # exact; ``Enum.__hash__`` is a Python-level call paid on every
+    # ``op in <set>`` and opcode-keyed dict lookup.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Reg:

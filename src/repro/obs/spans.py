@@ -105,8 +105,15 @@ class SpanRecorder:
         self.spans = []
 
     @contextmanager
-    def span(self, name, module=None):
-        before = module_stats(module) if module is not None else None
+    def span(self, name, module=None, before=None):
+        """Time a phase; with ``module``, record its stats before and after.
+
+        ``before`` supplies the module's current :class:`IRStats` when the
+        caller already holds them (the previous span's ``after``, with
+        nothing run on the module since), saving a whole-module walk.
+        """
+        if before is None and module is not None:
+            before = module_stats(module)
         record = Span(name=name, start=self._clock() - self._epoch,
                       before=before)
         try:

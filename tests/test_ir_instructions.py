@@ -1,5 +1,7 @@
 """Unit tests for the IR instruction set."""
 
+import pickle
+
 import pytest
 
 from repro.errors import IRError
@@ -32,6 +34,18 @@ class TestOperands:
     def test_imm_holds_ints_and_floats(self):
         assert Imm(3).value == 3
         assert Imm(2.5).value == 2.5
+
+
+class TestOpcodeHash:
+    def test_unpickled_members_are_the_members(self):
+        table = {opcode: opcode.value for opcode in Opcode}
+        for opcode in Opcode:
+            copy = pickle.loads(pickle.dumps(opcode))
+            assert copy is opcode
+            assert copy in table and table[copy] == opcode.value
+        copies = pickle.loads(pickle.dumps(BARRIER_OPS))
+        assert copies == BARRIER_OPS
+        assert Opcode.BSYNC in copies and Opcode.ADD not in copies
 
 
 class TestInstruction:

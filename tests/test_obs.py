@@ -243,8 +243,6 @@ class TestSpans:
             "sr-insert",
             "deconflict",
             "strip-directives",
-            "analysis:memeffects",
-            "mem-effects",
             "allocate",
             "verify",
         ]
@@ -268,8 +266,6 @@ class TestSpans:
         names = [span.name for span in program.report.spans]
         assert names == [
             "strip-directives",
-            "analysis:memeffects",
-            "mem-effects",
             "allocate",
             "verify",
         ]

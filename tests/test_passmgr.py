@@ -34,7 +34,10 @@ from repro.core import (
 )
 from repro.core.program_cache import ProgramCache
 from repro.errors import TransformError
+from repro.ir import Opcode, make
 from repro.ir.printer import format_module
+from repro.obs import spans as obs_spans
+from repro.obs.counters import ENGINE_COUNTERS
 
 from .helpers import diamond_function
 
@@ -176,6 +179,106 @@ class TestAnalysisManager:
         assert stats["invalidated"] >= 1
 
 
+class TestDemandDrivenMemEffects:
+    """``mem-effects`` is read-only and nothing consumes its summary, so no
+    mode pipeline runs it; it stays one explicit pipeline element away."""
+
+    @staticmethod
+    def _compile(mode, pipeline=None):
+        before = ENGINE_COUNTERS.passmgr_analysis_recompute
+        program = ReconvergenceCompiler().compile(
+            predicted_module(), mode=mode, pipeline=pipeline
+        )
+        return program, ENGINE_COUNTERS.passmgr_analysis_recompute - before
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_default_compile_skips_memeffects(self, mode):
+        default, default_recomputes = self._compile(mode)
+        # The pass at its former place, between the mode's passes and
+        # allocation.
+        with_pass = pipeline_for_mode(mode, allocate=False, verify=False)
+        explicit, explicit_recomputes = self._compile(
+            mode, f"{with_pass},mem-effects,allocate,verify"
+        )
+        assert "analysis:memeffects" not in [
+            span.name for span in default.report.spans
+        ]
+        assert "analysis:memeffects" in [
+            span.name for span in explicit.report.spans
+        ]
+        assert explicit_recomputes == default_recomputes + 1
+        assert default.report.memory_effects == {}
+        assert explicit.report.memory_effects["k"]["regions"]
+        # Read-only: the pass leaves the compiled module untouched.
+        assert format_module(default.module) == format_module(explicit.module)
+
+    def test_pass_stays_listed(self):
+        names = [line.split()[0] for line in list_passes().splitlines()]
+        assert "mem-effects" in names
+
+
+class TestSpanStatsReuse:
+    """Each pass span's ``before`` is the previous span's ``after``."""
+
+    @staticmethod
+    def _pass_spans(program):
+        return [s for s in program.report.spans
+                if not s.name.startswith("analysis:")]
+
+    def test_span_stats_match_fresh_walks(self, monkeypatch):
+        fresh = []
+        create = PASS_REGISTRY.create
+
+        def recording_create(name, options=None):
+            pass_obj = create(name, options)
+            run = pass_obj.run
+
+            def recorded_run(module, ctx):
+                before = obs_spans.module_stats(module)
+                run(module, ctx)
+                fresh.append((name, before, obs_spans.module_stats(module)))
+
+            pass_obj.run = recorded_run
+            return pass_obj
+
+        monkeypatch.setattr(PASS_REGISTRY, "create", recording_create)
+        program = ReconvergenceCompiler().compile(
+            predicted_module(), mode="auto"
+        )
+        spans = self._pass_spans(program)
+        assert [(s.name, s.before, s.after) for s in spans] == fresh
+
+    def test_one_walk_per_pass_boundary(self, monkeypatch):
+        calls = []
+        walk = obs_spans.module_stats
+
+        def counting(module):
+            calls.append(module)
+            return walk(module)
+
+        monkeypatch.setattr(obs_spans, "module_stats", counting)
+        program = ReconvergenceCompiler().compile(
+            predicted_module(), mode="auto"
+        )
+        assert len(calls) == len(self._pass_spans(program)) + 1
+
+    def test_mutating_after_pass_hook_recounts(self):
+        def add_nop(spec, pass_obj, module):
+            if spec.name == "pdom-sync":
+                entry = next(iter(module)).blocks[0]
+                entry.instructions.insert(0, make(Opcode.NOP))
+
+        module = predicted_module().clone()
+        ctx = PassContext()
+        PassManager("pdom-sync,strip-directives", after_pass=add_nop).run(
+            module, ctx
+        )
+        first, second = [s for s in ctx.spans.spans
+                         if not s.name.startswith("analysis:")]
+        assert second.before.instructions == first.after.instructions + 1
+        assert second.after == obs_spans.module_stats(module)
+
+
 class TestCompilerFacade:
     def test_mode_resolution_matches_legacy(self):
         # The façade's sr output is bit-identical to an explicit run of
@@ -193,7 +296,7 @@ class TestCompilerFacade:
             predicted_module(), mode="baseline"
         )
         assert program.report.pipeline == (
-            "pdom-sync,strip-directives,mem-effects,allocate,verify"
+            "pdom-sync,strip-directives,allocate,verify"
         )
 
     def test_constructor_flags_shape_pipeline(self):
@@ -201,7 +304,7 @@ class TestCompilerFacade:
             optimize=True, allocate=False, verify=False
         )
         specs = compiler.resolve_pipeline("none")
-        assert format_pipeline(specs) == "optimize,strip-directives,mem-effects"
+        assert format_pipeline(specs) == "optimize,strip-directives"
 
     def test_env_pipeline_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_PIPELINE", "strip-directives,verify")

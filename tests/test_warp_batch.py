@@ -16,6 +16,7 @@ corpus; this file covers the pieces in isolation:
 * the persistent worker pool in :mod:`repro.harness.parallel`.
 """
 
+import importlib
 import os
 
 import pytest
@@ -192,7 +193,10 @@ class TestAnalyzeModule:
         assert kinds["write"].form == "unknown"
 
     def test_compile_report_carries_memory_effects(self):
-        compiled = compile_baseline(compile_kernel_source(TID_STORE))
+        compiled = compile_baseline(
+            compile_kernel_source(TID_STORE),
+            pipeline="pdom-sync,strip-directives,mem-effects",
+        )
         summary = compiled.report.memory_effects["k"]
         assert summary["regions"] == {"out": ("write",)}
         assert summary["sites"][0]["form"] == "tid-strided"
@@ -395,6 +399,26 @@ def _explode(_):
     raise ValueError("worker exploded")
 
 
+#: (module under repro.simt, setter, global) for every in-process engine
+#: knob a forked worker snapshots.
+_ENGINE_KNOBS = (
+    ("soa", "set_soa", "SOA_ENABLED"),
+    ("soa", "set_soa_lanes", "MIN_SOA_LANES"),
+    ("soa", "set_soa_min_gain", "MIN_VECTOR_GAIN"),
+    ("jit", "set_jit", "JIT_ENABLED"),
+    ("jit", "set_jit_threshold", "JIT_THRESHOLD"),
+    ("spec", "set_spec", "SPEC_ENABLED"),
+)
+
+
+def _engine_knobs(_=None):
+    """The in-process engine knobs as the calling process sees them."""
+    return tuple(
+        getattr(importlib.import_module(f"repro.simt.{module}"), name)
+        for module, _setter, name in _ENGINE_KNOBS
+    )
+
+
 @pytest.fixture(autouse=True)
 def _fresh_pool():
     """Each test starts and ends without a live pool."""
@@ -443,6 +467,20 @@ class TestPersistentPool:
         with warp_batch_disabled():
             run_tasks([task(_square, i) for i in range(4)], jobs=2)
             assert parallel._POOL is not first
+
+    @pytest.mark.parametrize("module, setter, name", _ENGINE_KNOBS)
+    def test_workers_see_knob_flipped_after_fork(self, module, setter, name):
+        knobs = importlib.import_module(f"repro.simt.{module}")
+        run_tasks([task(_engine_knobs, i) for i in range(2)], jobs=2)
+        value = getattr(knobs, name)
+        flipped = not value if isinstance(value, bool) else value + 1
+        previous = getattr(knobs, setter)(flipped)
+        try:
+            seen = run_tasks([task(_engine_knobs, i) for i in range(4)],
+                             jobs=2)
+            assert seen == [_engine_knobs()] * 4
+        finally:
+            getattr(knobs, setter)(previous)
 
     def test_jobs_change_invalidates(self):
         run_tasks([task(_square, i) for i in range(4)], jobs=2)
