@@ -35,6 +35,7 @@ from contextlib import contextmanager
 
 from repro.core.passmgr import default_pipeline
 from repro.core.pipeline import ReconvergenceCompiler
+from repro.env import env_flag
 from repro.ir.function import structure_token
 from repro.obs.counters import ENGINE_COUNTERS
 
@@ -44,16 +45,11 @@ __all__ = [
     "cache_disabled",
     "compile_cached",
     "compile_cache_enabled",
-    "freeze_options",
     "set_compile_cache",
 ]
 
 #: Global default, mirrored by the ``REPRO_COMPILE_CACHE`` env variable.
-CACHE_ENABLED = os.environ.get("REPRO_COMPILE_CACHE", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
+CACHE_ENABLED = env_flag("REPRO_COMPILE_CACHE")
 
 
 def compile_cache_enabled():
@@ -93,12 +89,6 @@ def _freeze(value):
         return tuple(sorted(_freeze(v) for v in value))
     hash(value)
     return value
-
-
-#: Public name for the option-freezing helper: every engine cache keyed
-#: by a knob fingerprint (this one, the segment JIT's SegmentCodeCache)
-#: freezes its options through the same machinery.
-freeze_options = _freeze
 
 
 class ProgramCache:

@@ -15,7 +15,7 @@ scans especially) pays pool spin-up and per-process cache warming once
 instead of per sweep. The pool is keyed by the worker count and a
 fingerprint of every knob that shapes worker behaviour — the ``REPRO_*``
 environment and the in-process engine toggles (fastpath, segments, warp
-batching, compile cache, SoA, JIT, speculative rounds) — and is
+batching, compile cache, JIT, speculative rounds) — and is
 transparently torn down and reforked when any of them changes, since
 forked workers snapshot that state at creation. :func:`shutdown_pool`
 retires it explicitly (also registered ``atexit``), and a worker
@@ -112,7 +112,6 @@ def _knob_fingerprint():
         SEGMENTS_ENABLED,
         WARP_BATCH_ENABLED,
         CACHE_ENABLED,
-        jit.knob_fingerprint(),    # the SoA knobs
         jit.JIT_ENABLED,
         jit.JIT_THRESHOLD,
         spec.SPEC_ENABLED,

@@ -33,14 +33,6 @@ from repro.simt.spec import (
     spec_disabled,
     spec_enabled,
 )
-from repro.simt.soa import (
-    classify_slots,
-    set_soa,
-    set_soa_lanes,
-    soa_available,
-    soa_disabled,
-    soa_enabled,
-)
 from repro.simt.memory import GlobalMemory, SharedMemory
 from repro.simt.profiler import BlockProfile, Profiler
 from repro.simt.rng import XorShift32, mix_seed
@@ -90,7 +82,6 @@ __all__ = [
     "Warp",
     "WarpBatcher",
     "XorShift32",
-    "classify_slots",
     "decode_program",
     "fastpath_disabled",
     "fastpath_enabled",
@@ -101,13 +92,8 @@ __all__ = [
     "segments_enabled",
     "set_fastpath",
     "set_segments",
-    "set_soa",
-    "set_soa_lanes",
     "set_spec",
     "set_warp_batch",
-    "soa_available",
-    "soa_disabled",
-    "soa_enabled",
     "spec_disabled",
     "spec_enabled",
     "warp_batch_disabled",

@@ -50,10 +50,10 @@ the rest of the launch — correctness never depends on the guess.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 from repro.analysis.memeffects import classify_launch
+from repro.env import env_flag
 from repro.obs.counters import ENGINE_COUNTERS
 from repro.obs.recorder import dump_post_mortem
 from repro.simt.memory import FootprintMemory, FootprintOverflow
@@ -69,11 +69,7 @@ __all__ = [
 
 #: Global default for new machines. Flip with ``set_warp_batch`` or the
 #: ``REPRO_WARP_BATCH`` environment variable (0/false/off disables).
-WARP_BATCH_ENABLED = os.environ.get("REPRO_WARP_BATCH", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
+WARP_BATCH_ENABLED = env_flag("REPRO_WARP_BATCH")
 
 #: Consecutive conflicted epochs before the batcher gives up on a launch.
 _MAX_CONFLICT_STREAK = 8

@@ -44,10 +44,10 @@ interpreted path, which the conformance suite uses as its reference.
 
 from __future__ import annotations
 
-import os
 import weakref
 from contextlib import contextmanager
 
+from repro.env import env_flag
 from repro.errors import SimulationError
 from repro.ir.function import structure_token
 from repro.obs.counters import ENGINE_COUNTERS
@@ -59,7 +59,6 @@ from repro.simt.executor import (
     _UNIFORM_OPS,
     _WARPSYNC_BARRIER,
 )
-from repro.simt import soa as _soa
 from repro.simt.segments import SegmentTable
 from repro.simt.warp import Frame
 
@@ -74,11 +73,7 @@ __all__ = [
 
 #: Global default for new machines/executors. Flip with ``set_fastpath`` or
 #: the ``REPRO_FASTPATH`` environment variable (0/false/off disables).
-FASTPATH_ENABLED = os.environ.get("REPRO_FASTPATH", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
+FASTPATH_ENABLED = env_flag("REPRO_FASTPATH")
 
 
 def fastpath_enabled():
@@ -855,7 +850,6 @@ class DecodedProgram:
         self.token = structure_token(module)
         self._blocks = {}    # (function name, block name) -> tuple of decoded
         self._segments = {}  # (function name, block name) -> SegmentTable
-        self._slot_kinds = {}  # function name -> soa.classify_slots result
 
     def entry(self, pc):
         """The :class:`DecodedInstruction` at ``pc``."""
@@ -893,21 +887,9 @@ class DecodedProgram:
                 block,
                 entries,
                 self.module.function(function).reg_slots(),
-                self._function_slot_kinds(function),
             )
             self._segments[(function, block)] = table
         return table
-
-    def _function_slot_kinds(self, function):
-        """Cached :func:`repro.simt.soa.classify_slots` kinds, or None when
-        numpy is unavailable (segments then skip SoA chunk compilation)."""
-        if not _soa.soa_available():
-            return None
-        kinds = self._slot_kinds.get(function)
-        if kinds is None:
-            kinds = _soa.classify_slots(self.module.function(function))
-            self._slot_kinds[function] = kinds
-        return kinds
 
     def _decode_block(self, function, block):
         fn = self.module.function(function)

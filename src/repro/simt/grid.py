@@ -37,9 +37,9 @@ per-CTA cycle counts remain exact.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
+from repro.env import env_flag
 from repro.errors import LaunchError
 from repro.obs import counters as _counters
 from repro.obs.counters import ENGINE_COUNTERS
@@ -69,8 +69,7 @@ def grid_sharding_enabled():
     Only sharding is gated — grid launches themselves always work; with
     ``REPRO_GRID=0`` every CTA runs on the serial in-process loop.
     """
-    value = os.environ.get("REPRO_GRID", "").strip().lower()
-    return value not in ("0", "false", "off")
+    return env_flag("REPRO_GRID")
 
 
 @dataclass

@@ -63,8 +63,6 @@ def _fold_launch_counters(counters):
     ENGINE_COUNTERS.spec_nonforced_observed += (
         counters["spec.nonforced_observed"]
     )
-    ENGINE_COUNTERS.soa_vector_chunks += counters["soa.vector_chunks"]
-    ENGINE_COUNTERS.soa_fallback_chunks += counters["soa.fallback_chunks"]
     ENGINE_COUNTERS.jit_executed_segments += counters["jit.executed_segments"]
     ENGINE_COUNTERS.jit_tierups += counters["jit.tierups"]
     ENGINE_COUNTERS.jit_deopts += counters["jit.deopts"]
@@ -124,7 +122,6 @@ class GPUMachine:
         fastpath=None,
         segments=None,
         warp_batch=None,
-        soa=None,
         jit=None,
         spec=None,
         flight_recorder=None,
@@ -140,8 +137,6 @@ class GPUMachine:
         self.segments = segments
         # None defers to the global repro.simt.batch default.
         self.warp_batch = warp_batch
-        # None defers to the global repro.simt.soa default (REPRO_SOA).
-        self.soa = soa
         # None defers to the global repro.simt.jit default (REPRO_JIT).
         self.jit = jit
         # None defers to the global repro.simt.spec default (REPRO_SPEC).
@@ -189,7 +184,7 @@ class GPUMachine:
         executor = Executor(
             self.module, memory, self.cost_model, profiler,
             sink=sink, metrics=metrics, fastpath=self.fastpath,
-            segments=self.segments, soa=self.soa, jit=self.jit, cta=cta,
+            segments=self.segments, jit=self.jit, cta=cta,
         )
         scheduler = make_scheduler(self.scheduler_name)
 

@@ -66,11 +66,11 @@ the batcher).
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from math import lcm
 
 from repro.analysis.memeffects import classify_launch
+from repro.env import env_flag
 from repro.errors import SimulationError
 from repro.ir.instructions import Opcode
 from repro.obs.counters import ENGINE_COUNTERS
@@ -90,11 +90,7 @@ __all__ = [
 
 #: Global default for new machines. Flip with ``set_spec`` or the
 #: ``REPRO_SPEC`` environment variable (0/false/off disables).
-SPEC_ENABLED = os.environ.get("REPRO_SPEC", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
+SPEC_ENABLED = env_flag("REPRO_SPEC")
 
 #: Adaptive round size (slots per warp per round): start in the middle,
 #: double after ``_GROW_AFTER`` clean commits, halve after

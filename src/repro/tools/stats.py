@@ -296,8 +296,8 @@ def _run_grid(args):
 def _run_jit(args):
     """JIT-corpus sweep: every workload in sr mode with tier-up forced
     (threshold 0). Reports per-workload ``jit.*`` launch counters, the
-    tiered code cache's per-segment telemetry (hotness, variant, deopt
-    status), and the process counter delta."""
+    tiered code cache's per-segment telemetry (hotness, deopt status),
+    and the process counter delta."""
     from repro.simt import jit as jit_mod
 
     names = args.workloads or workload_names()
@@ -332,9 +332,9 @@ def _run_jit(args):
     if segments:
         print()
         print(format_table(
-            ["segment", "variant", "slots", "hits", "status"],
+            ["segment", "slots", "hits", "status"],
             [
-                (r["segment"], r["variant"], r["slots"], r["hits"],
+                (r["segment"], r["slots"], r["hits"],
                  "deopt" if r["deopt"] else "compiled")
                 for r in segments
             ],
@@ -351,7 +351,6 @@ def _run_jit(args):
     if args.json:
         _save_snapshot(args.json, moved, {
             "jit": names, "threshold": 0, "seed": args.seed,
-            "code_cache": jit_mod.CODE_CACHE.stats(),
             "compiled_segments": [
                 {k: v for k, v in record.items() if k != "source"}
                 for record in segments

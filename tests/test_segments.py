@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.frontend import compile_kernel_source
+from repro.ir import parse_module
 from repro.ir.instructions import Opcode
 from repro.obs.sinks import ListSink
 from repro.simt import (
@@ -57,6 +58,26 @@ kernel k() {
         x = tid() * 3 + 1;
     }
     store(tid(), x);
+}
+"""
+
+
+#: On the untaken path %x stays UNDEF, and the reconverged add reads it.
+UNDEF_IR = """
+func @k() kernel {
+entry:
+  %t = tid
+  %lim = const 16
+  %p = cmplt %t, %lim
+  cbr %p, ^then, ^join
+then:
+  %x = const 1.5
+  bra ^join
+join:
+  %bias = const 2.0
+  %y = add %x, %bias
+  st %t, %y
+  exit
 }
 """
 
@@ -385,3 +406,20 @@ class TestRegisterSlots:
     def test_undef_is_unhashable(self):
         with pytest.raises(TypeError):
             hash(UNDEF)
+
+    def test_undef_raises_on_the_untaken_path(self):
+        """Lanes 16-31 skip the definition of %x, so the reconverged add
+        reads UNDEF: a hard error, identical with and without fusion."""
+        module = parse_module(UNDEF_IR)
+        with pytest.raises(SimulationError, match="undefined register") as fused:
+            _run(module, segments=True)
+        with pytest.raises(SimulationError) as unfused:
+            _run(module, segments=False)
+        assert str(fused.value) == str(unfused.value)
+
+    def test_undef_kernel_with_every_lane_defined_is_clean(self):
+        """The same kernel at 16 threads (every lane takes the branch)
+        completes — the error above comes from the untaken path."""
+        module = parse_module(UNDEF_IR)
+        launch = _run(module, n_threads=16)
+        assert launch.store_traces() == {t: [(t, 3.5)] for t in range(16)}

@@ -75,6 +75,44 @@ class TestArithmetic:
     def test_exp_clamped(self):
         assert run_expr("exp(1000.0)")[0] == pytest.approx(math.exp(60.0))
 
+    def test_guard_edges_in_one_warp(self):
+        """Division by zero, sqrt of zero, signed zero, inf overflow and
+        NaN ``max`` together in one straight-line kernel, so every guard
+        runs inside a fused segment at full warp width."""
+        result = run_kernel(
+            """
+kernel k() {
+    let t = tid();
+    let a = 1.0 * t;
+    let denom = a - 8.0;
+    let q = 1.0 / denom;
+    let r = a / 0.0;
+    let s = sqrt(a - 4.0);
+    let neg = 0.0 - 0.0;
+    let m = min(neg, 0.0);
+    let big = 1.0e308 + 1.0e308;
+    let n = big - big;
+    let w = max(n, a);
+    store(t, q + r + s + m);
+    store(t + 100, w);
+}
+""",
+            "k",
+        )
+        traces = result.store_traces()
+        # The first store holds q + r + s + m. r (a / 0.0) is guarded to
+        # 0.0 for every lane and m is 0.0, so:
+        # t=4: q = 1/(4-8) = -0.25, sqrt(4-4=0) is guarded (only a > 0
+        # roots) -> s = 0.0.
+        assert traces[4][0] == (4, pytest.approx(-0.25))
+        # t=8: denom == 0 -> q guarded to 0.0, s = sqrt(8-4) = 2.0.
+        assert traces[8][0] == (8, pytest.approx(2.0))
+        # max(NaN, a) is Python max: ``a if a > NaN else NaN`` -> NaN
+        # (every comparison with NaN is False, so the first operand wins).
+        for tid, trace in traces.items():
+            assert trace[1][0] == tid + 100
+            assert math.isnan(trace[1][1])
+
 
 class TestThreadIdentity:
     def test_tid_global(self):
@@ -134,6 +172,34 @@ kernel k() {
             n_threads=4,
         )
         assert [result.memory.load(i) for i in range(4)] == [1.0, 1.0, 2.0, 2.0]
+
+    def test_masked_partial_group_stores_do_not_leak(self):
+        """A straight-line run executed by a divergent subset of the warp
+        (lanes 0-10) must update exactly those lanes."""
+        result = run_kernel(
+            """
+kernel k() {
+    let t = tid();
+    let x = 1.0 * t;
+    if (t < 11) {
+        x = fma(x, 1.25, 3.0);
+        x = fma(x, 0.5, -1.0);
+        x = x * x + 0.125;
+    }
+    store(t, x);
+}
+""",
+            "k",
+        )
+        expected = {}
+        for t in range(32):
+            x = 1.0 * t
+            if t < 11:
+                x = x * 1.25 + 3.0
+                x = x * 0.5 + -1.0
+                x = x * x + 0.125
+            expected[t] = [(float(t), x)]
+        assert result.store_traces() == expected
 
     def test_while_loop(self):
         result = run_kernel(

@@ -95,7 +95,7 @@ class TestCounterRegistry:
         snap["segments.fused_instrs"] = 75
         snap["segments.fallback_instrs"] = 25
         layers = obs_counters.counter_layers(snap)
-        assert list(layers)[:5] == ["fastpath", "segments", "soa", "jit", "batch"]
+        assert list(layers) == list(obs_counters.LAYERS)
         assert layers["segments"]["segments.coverage"] == pytest.approx(0.75)
         # Derived, never stored: raw snapshots stay integer-valued.
         assert "segments.coverage" not in obs_counters.snapshot()

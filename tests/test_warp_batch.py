@@ -402,9 +402,6 @@ def _explode(_):
 #: (module under repro.simt, setter, global) for every in-process engine
 #: knob a forked worker snapshots.
 _ENGINE_KNOBS = (
-    ("soa", "set_soa", "SOA_ENABLED"),
-    ("soa", "set_soa_lanes", "MIN_SOA_LANES"),
-    ("soa", "set_soa_min_gain", "MIN_VECTOR_GAIN"),
     ("jit", "set_jit", "JIT_ENABLED"),
     ("jit", "set_jit_threshold", "JIT_THRESHOLD"),
     ("spec", "set_spec", "SPEC_ENABLED"),
