@@ -412,8 +412,8 @@ class MemEffectsPass(Pass):
     ``report.pass_stats``).
 
     Nothing in the compiler or simulator reads these summaries — the warp
-    batcher, speculative rounds and grid sharding classify each launch
-    against its concrete arguments — so no mode pipeline runs this pass.
+    batcher and grid sharding classify each launch against its concrete
+    arguments — so no mode pipeline runs this pass.
     Append it to an explicit pipeline (``pipeline=``, ``REPRO_PIPELINE``,
     ``--pipeline``, ``repro.tools.opt``) to get the summaries."""
 

@@ -477,7 +477,11 @@ class PassContext:
 
 
 def _env_flag(name):
-    return os.environ.get(name, "").lower() in ("1", "true", "yes", "on")
+    """A debug hook's switch (default off), whitespace-tolerant like
+    :func:`repro.env.env_flag`."""
+    return os.environ.get(name, "").strip().lower() in (
+        "1", "true", "yes", "on",
+    )
 
 
 class PassManager:
@@ -492,6 +496,9 @@ class PassManager:
       IR after every pass (to ``print_stream``, default stderr);
     * ``stop_after`` / ``REPRO_STOP_AFTER`` — halt the pipeline after the
       named pass (first occurrence), leaving the module mid-compilation;
+      a name no registered pass carries raises :class:`PipelineError`
+      (the variable applies to every pipeline, so a pipeline that lacks
+      the pass simply runs to the end);
     * ``after_pass`` — callback ``(spec, pass_obj, module)`` run after
       each pass (the bisector and snapshot tools hook in here).
     """
@@ -513,7 +520,11 @@ class PassManager:
         if print_after_all is None:
             print_after_all = _env_flag("REPRO_PRINT_AFTER_ALL")
         if stop_after is None:
-            stop_after = os.environ.get("REPRO_STOP_AFTER") or None
+            stop_after = os.environ.get("REPRO_STOP_AFTER", "").strip() or None
+        if stop_after is not None:
+            import repro.core.passes  # noqa: F401  (registers the standard suite)
+
+            PASS_REGISTRY.get(stop_after)   # unknown name -> PipelineError
         self.verify_each = verify_each
         self.print_after_all = print_after_all
         self.stop_after = stop_after

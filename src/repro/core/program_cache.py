@@ -110,7 +110,7 @@ class ProgramCache:
                 _freeze(threshold),
                 _freeze(auto_options),
                 _freeze(pipeline or default_pipeline()),
-                os.environ.get("REPRO_STOP_AFTER") or None,
+                os.environ.get("REPRO_STOP_AFTER", "").strip() or None,
                 _freeze(compiler_options),
             )
         except TypeError:

@@ -15,7 +15,7 @@ scans especially) pays pool spin-up and per-process cache warming once
 instead of per sweep. The pool is keyed by the worker count and a
 fingerprint of every knob that shapes worker behaviour — the ``REPRO_*``
 environment and the in-process engine toggles (fastpath, segments, warp
-batching, compile cache, JIT, speculative rounds) — and is
+batching, compile cache, JIT) — and is
 transparently torn down and reforked when any of them changes, since
 forked workers snapshot that state at creation. :func:`shutdown_pool`
 retires it explicitly (also registered ``atexit``), and a worker
@@ -101,7 +101,7 @@ def _knob_fingerprint():
         if key.startswith("REPRO_")
     ))
     from repro.core.program_cache import CACHE_ENABLED
-    from repro.simt import jit, spec
+    from repro.simt import jit
     from repro.simt.batch import WARP_BATCH_ENABLED
     from repro.simt.fastpath import FASTPATH_ENABLED
     from repro.simt.segments import SEGMENTS_ENABLED
@@ -114,7 +114,6 @@ def _knob_fingerprint():
         CACHE_ENABLED,
         jit.JIT_ENABLED,
         jit.JIT_THRESHOLD,
-        spec.SPEC_ENABLED,
     )
 
 

@@ -88,29 +88,6 @@ COUNTERS = {
         "slots replayed per-slot after a conflicted lockstep epoch",
     "batch.peak_footprint":
         "largest single-burst guarded footprint in words (max, not sum)",
-    # --- spec: speculative round scheduling (repro.simt.spec) ---------
-    "spec.rounds":
-        "speculative rounds attempted beyond forced picks",
-    "spec.committed":
-        "warp bursts committed by speculative rounds",
-    "spec.rolled_back":
-        "warp bursts rolled back by round conflicts",
-    "spec.retries":
-        "rounds aborted on conflict and re-run through the serial loop",
-    "spec.backoffs":
-        "adaptive round-size halvings after conflict streaks",
-    "spec.disables":
-        "launches where speculation switched off at the minimum round size",
-    "spec.replayed_slots":
-        "speculative slots discarded by rollbacks and re-run serially",
-    "spec.peak_footprint":
-        "largest per-warp speculative footprint in words (max, not sum)",
-    "spec.nonforced_tie":
-        "serial slots whose pick tied under the convergence policy",
-    "spec.nonforced_multi_group":
-        "serial slots with multiple groups under a singleton-only policy",
-    "spec.nonforced_observed":
-        "serial slots issued with no segment engine (observers attached)",
     # --- program_cache: compile memoization (repro.core.program_cache)
     "program_cache.hit":
         "compile_cached() served a shared CompiledProgram",
@@ -146,7 +123,7 @@ COUNTERS = {
 
 #: Layer prefixes in display order (the per-layer tables follow this).
 LAYERS = (
-    "fastpath", "segments", "jit", "batch", "spec", "program_cache",
+    "fastpath", "segments", "jit", "batch", "program_cache",
     "passmgr", "pool", "launch", "grid",
 )
 

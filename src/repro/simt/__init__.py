@@ -27,12 +27,6 @@ from repro.simt.segments import (
     segments_enabled,
     set_segments,
 )
-from repro.simt.spec import (
-    SpecRounds,
-    set_spec,
-    spec_disabled,
-    spec_enabled,
-)
 from repro.simt.memory import GlobalMemory, SharedMemory
 from repro.simt.profiler import BlockProfile, Profiler
 from repro.simt.rng import XorShift32, mix_seed
@@ -74,7 +68,6 @@ __all__ = [
     "Segment",
     "SegmentTable",
     "SharedMemory",
-    "SpecRounds",
     "StackGPUMachine",
     "Thread",
     "ThreadState",
@@ -92,10 +85,7 @@ __all__ = [
     "segments_enabled",
     "set_fastpath",
     "set_segments",
-    "set_spec",
     "set_warp_batch",
-    "spec_disabled",
-    "spec_enabled",
     "warp_batch_disabled",
     "warp_batch_enabled",
     "run_reference_launch",

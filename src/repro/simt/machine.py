@@ -48,21 +48,6 @@ def _fold_launch_counters(counters):
     ENGINE_COUNTERS.batch_replayed_slots += counters["batch.replayed_slots"]
     if counters["batch.peak_footprint"] > ENGINE_COUNTERS.batch_peak_footprint:
         ENGINE_COUNTERS.batch_peak_footprint = counters["batch.peak_footprint"]
-    ENGINE_COUNTERS.spec_rounds += counters["spec.rounds"]
-    ENGINE_COUNTERS.spec_committed += counters["spec.committed"]
-    ENGINE_COUNTERS.spec_rolled_back += counters["spec.rolled_back"]
-    ENGINE_COUNTERS.spec_retries += counters["spec.retries"]
-    ENGINE_COUNTERS.spec_backoffs += counters["spec.backoffs"]
-    ENGINE_COUNTERS.spec_replayed_slots += counters["spec.replayed_slots"]
-    if counters["spec.peak_footprint"] > ENGINE_COUNTERS.spec_peak_footprint:
-        ENGINE_COUNTERS.spec_peak_footprint = counters["spec.peak_footprint"]
-    ENGINE_COUNTERS.spec_nonforced_tie += counters["spec.nonforced_tie"]
-    ENGINE_COUNTERS.spec_nonforced_multi_group += (
-        counters["spec.nonforced_multi_group"]
-    )
-    ENGINE_COUNTERS.spec_nonforced_observed += (
-        counters["spec.nonforced_observed"]
-    )
     ENGINE_COUNTERS.jit_executed_segments += counters["jit.executed_segments"]
     ENGINE_COUNTERS.jit_tierups += counters["jit.tierups"]
     ENGINE_COUNTERS.jit_deopts += counters["jit.deopts"]
@@ -123,7 +108,6 @@ class GPUMachine:
         segments=None,
         warp_batch=None,
         jit=None,
-        spec=None,
         flight_recorder=None,
     ):
         self.module = module
@@ -139,8 +123,6 @@ class GPUMachine:
         self.warp_batch = warp_batch
         # None defers to the global repro.simt.jit default (REPRO_JIT).
         self.jit = jit
-        # None defers to the global repro.simt.spec default (REPRO_SPEC).
-        self.spec = spec
         # Observability, all off by default (the fast path stays
         # allocation-free): ``trace`` records cycle-stamped IssueEvents for
         # timeline rendering, ``sink`` streams every event kind to a
@@ -218,15 +200,10 @@ class GPUMachine:
             )
 
         batcher = None
-        spec = None
         if len(warps) > 1:
             from repro.simt.batch import make_batcher
-            from repro.simt.spec import make_spec
 
             batcher = make_batcher(
-                self, executor, scheduler, kernel_name, args, n_threads
-            )
-            spec = make_spec(
                 self, executor, scheduler, kernel_name, args, n_threads
             )
 
@@ -255,17 +232,6 @@ class GPUMachine:
                     if advanced is not None:
                         # Segment ops cannot exit or park, so the live set
                         # is unchanged.
-                        issues = advanced
-                        continue
-                if spec is not None:
-                    # The forced-pick precondition failed (or batching is
-                    # off): try a speculative round — snapshot the pick
-                    # order, execute optimistically under the footprint
-                    # guard, commit in serial-schedule order or roll back
-                    # exactly. Fusable ops cannot exit or park, so the
-                    # live set is unchanged here too.
-                    advanced = spec.try_round(live_warps, issues)
-                    if advanced is not None:
                         issues = advanced
                         continue
                 progressed = []
@@ -452,19 +418,6 @@ class GPUMachine:
                 warp_id=warp.warp_id,
                 waiting=waiting,
             )
-        profiler = executor.profiler
-        if executor.segment_at is None:
-            # No segment engine this launch (observers attached, or
-            # fastpath/segments off): every slot is out of reach for the
-            # forced-pick fast lanes, whatever the scheduler says.
-            profiler.nonforced_observed += 1
-        elif len(groups) > 1 and (
-            scheduler.forced_pick(groups, executor.program_order) is None
-        ):
-            if scheduler.name == "convergence":
-                profiler.nonforced_tie += 1
-            else:
-                profiler.nonforced_multi_group += 1
         pc = scheduler.pick(groups, executor.program_order)
         group = groups[pc]
         executor.execute(warp, pc, group)

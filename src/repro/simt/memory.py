@@ -164,7 +164,7 @@ class FootprintMemory:
         self._limit = limit
         #: largest single-burst footprint drained so far (distinct words
         #: read + written between two ``take()`` calls) — round-size
-        #: tuning telemetry, surfaced as ``batch.*``/``spec.*`` counters.
+        #: tuning telemetry, surfaced as ``batch.*`` counters.
         self.peak = 0
 
     def take(self):

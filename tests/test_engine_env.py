@@ -34,7 +34,6 @@ KNOBS = (
     ("REPRO_SEGMENTS", "repro.simt.segments", "segments_enabled"),
     ("REPRO_WARP_BATCH", "repro.simt.batch", "warp_batch_enabled"),
     ("REPRO_JIT", "repro.simt.jit", "jit_enabled"),
-    ("REPRO_SPEC", "repro.simt.spec", "spec_enabled"),
     ("REPRO_COMPILE_CACHE", "repro.core.program_cache",
      "compile_cache_enabled"),
     ("REPRO_GRID", "repro.simt.grid", "grid_sharding_enabled"),
@@ -69,7 +68,7 @@ args = workload.setup(memory)
 compiled = compile_sr(workload.module(), threshold=workload.sr_threshold)
 launch = GPUMachine(
     compiled.module, fastpath=True, segments=True, warp_batch=True,
-    jit=True, spec=True,
+    jit=True,
 ).launch(workload.kernel_name, 128, args=args, memory=memory)
 assert launch.profiler.fused_issues > 0
 assert launch.profiler.jit_segments > 0

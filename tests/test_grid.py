@@ -18,7 +18,6 @@ from repro.obs.counters import ENGINE_COUNTERS
 from repro.simt import (
     CTAContext,
     GPUMachine,
-    GlobalMemory,
     GridLaunch,
     SharedMemory,
     grid_sharding_enabled,

@@ -412,6 +412,23 @@ class TestDebugToolkit:
         assert manager.stop_after == "pdom-sync"
         monkeypatch.setenv("REPRO_VERIFY_EACH_PASS", "1")
         assert PassManager("verify").verify_each is True
+        # Padding from a shell or YAML file must not switch a hook off.
+        monkeypatch.setenv("REPRO_VERIFY_EACH_PASS", " 1")
+        monkeypatch.setenv("REPRO_PRINT_AFTER_ALL", "on ")
+        monkeypatch.setenv("REPRO_STOP_AFTER", " pdom-sync ")
+        manager = PassManager("pdom-sync,allocate")
+        assert manager.verify_each is True
+        assert manager.print_after_all is True
+        assert manager.stop_after == "pdom-sync"
+        # An unknown name is an error. It is checked against the registry,
+        # not this pipeline: the variable applies to every pipeline.
+        monkeypatch.setenv("REPRO_STOP_AFTER", "pdom_sync")
+        with pytest.raises(PipelineError, match="pdom-sync"):
+            PassManager("pdom-sync,allocate")
+        with pytest.raises(PipelineError, match="unknown pass 'nope'"):
+            PassManager("verify", stop_after="nope")
+        monkeypatch.setenv("REPRO_STOP_AFTER", "sr-insert")
+        assert PassManager("verify").stop_after == "sr-insert"
 
     def test_spans_cover_every_pass(self):
         program = compile_sr(predicted_module())

@@ -29,7 +29,7 @@ from repro.obs.chrome_trace import (
     merged_worker_trace,
     span_trace_events,
 )
-from repro.obs.counters import COUNTERS, ENGINE_COUNTERS, EngineCounters
+from repro.obs.counters import COUNTERS, EngineCounters
 from repro.obs.recorder import (
     FlightRecorder,
     dump_post_mortem,

@@ -399,19 +399,23 @@ def _explode(_):
     raise ValueError("worker exploded")
 
 
-#: (module under repro.simt, setter, global) for every in-process engine
-#: knob a forked worker snapshots.
+#: (module, setter, global) for every in-process engine knob a forked
+#: worker snapshots (everything ``_knob_fingerprint`` carries besides the
+#: environment).
 _ENGINE_KNOBS = (
-    ("jit", "set_jit", "JIT_ENABLED"),
-    ("jit", "set_jit_threshold", "JIT_THRESHOLD"),
-    ("spec", "set_spec", "SPEC_ENABLED"),
+    ("repro.simt.fastpath", "set_fastpath", "FASTPATH_ENABLED"),
+    ("repro.simt.segments", "set_segments", "SEGMENTS_ENABLED"),
+    ("repro.simt.batch", "set_warp_batch", "WARP_BATCH_ENABLED"),
+    ("repro.core.program_cache", "set_compile_cache", "CACHE_ENABLED"),
+    ("repro.simt.jit", "set_jit", "JIT_ENABLED"),
+    ("repro.simt.jit", "set_jit_threshold", "JIT_THRESHOLD"),
 )
 
 
 def _engine_knobs(_=None):
     """The in-process engine knobs as the calling process sees them."""
     return tuple(
-        getattr(importlib.import_module(f"repro.simt.{module}"), name)
+        getattr(importlib.import_module(module), name)
         for module, _setter, name in _ENGINE_KNOBS
     )
 
@@ -465,9 +469,15 @@ class TestPersistentPool:
             run_tasks([task(_square, i) for i in range(4)], jobs=2)
             assert parallel._POOL is not first
 
-    @pytest.mark.parametrize("module, setter, name", _ENGINE_KNOBS)
+    @pytest.mark.parametrize(
+        "module, setter, name", _ENGINE_KNOBS,
+        ids=[
+            f"{module.rpartition('.')[2]}-{setter}-{name}"
+            for module, setter, name in _ENGINE_KNOBS
+        ],
+    )
     def test_workers_see_knob_flipped_after_fork(self, module, setter, name):
-        knobs = importlib.import_module(f"repro.simt.{module}")
+        knobs = importlib.import_module(module)
         run_tasks([task(_engine_knobs, i) for i in range(2)], jobs=2)
         value = getattr(knobs, name)
         flipped = not value if isinstance(value, bool) else value + 1
